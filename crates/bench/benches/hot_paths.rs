@@ -1,6 +1,7 @@
 //! Microbenches for the simulation core's hot loops: the per-cycle stats
-//! substrate, the MXS issue machinery, the L1 cache lookup, and the
-//! O(segments) trace replay. These isolate the paths the full-system
+//! substrate, the MXS issue machinery, the L1 cache lookup, and the warm
+//! path over a captured trace (`swtrace-v1` decode, O(segments) replay,
+//! power post-processing). These isolate the paths the full-system
 //! throughput bench (`simulator_throughput`) exercises in aggregate, so a
 //! regression can be localized without re-profiling the whole pipeline.
 
@@ -8,11 +9,11 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use softwatt::{Benchmark, CpuModel, Simulator, SystemConfig};
+use softwatt::{Benchmark, CpuModel, PowerModel, Simulator, SystemConfig};
 use softwatt_cpu::{Cpu, MxsConfig, MxsCpu, VecSource};
 use softwatt_isa::mixgen::{MixGenerator, MixSpec};
 use softwatt_mem::{Cache, CacheGeometry, MemConfig, MemHierarchy};
-use softwatt_stats::{Clocking, Mode, StatsCollector, UnitEvent};
+use softwatt_stats::{Clocking, Mode, PerfTrace, StatsCollector, UnitEvent};
 
 fn bench_stats_collector(c: &mut Criterion) {
     let mut group = c.benchmark_group("stats_collector");
@@ -103,19 +104,40 @@ fn bench_cache_lookup(c: &mut Criterion) {
 }
 
 fn bench_trace_replay(c: &mut Criterion) {
-    // The O(segments + samples) replay against a real captured trace: the
-    // path every non-conventional disk policy in the paper grid takes.
+    // The warm path against a real captured jess/mxs trace: what every
+    // store hit in the paper grid pays before rendering.
     let config = SystemConfig {
         cpu: CpuModel::Mxs,
         time_scale: 40_000.0,
         ..SystemConfig::default()
     };
+    let model = PowerModel::new(&config.power_params());
     let sim = Simulator::new(config).expect("valid");
     let (run, trace) = sim.run_benchmark_traced(Benchmark::Jess);
+    let mut entry = Vec::new();
+    trace.to_binary(&mut entry, b"").expect("encode to memory");
+
     let mut group = c.benchmark_group("replay");
     group.throughput(Throughput::Elements(run.cycles));
     group.bench_function("jess_trace", |b| {
         b.iter(|| std::hint::black_box(sim.replay_trace(&trace).cycles));
+    });
+    group.bench_function("fast_replay_mode_table", |b| {
+        b.iter(|| {
+            let run = sim.replay_trace(std::hint::black_box(&trace));
+            std::hint::black_box(model.mode_table(&run.log).total_energy_j())
+        });
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("swtrace");
+    group.throughput(Throughput::Bytes(entry.len() as u64));
+    group.bench_function("decode_jess_trace", |b| {
+        b.iter(|| {
+            let (trace, _) =
+                PerfTrace::from_binary(std::hint::black_box(&entry)).expect("valid entry");
+            std::hint::black_box(trace.work_cycles)
+        });
     });
     group.finish();
 }

@@ -185,8 +185,9 @@ impl TraceStore {
     /// only fallback is a fresh simulation either way.
     pub fn load(&self, key: &TraceKey) -> Option<PerfTrace> {
         let path = self.entry_path(key);
-        let file = match fs::File::open(&path) {
-            Ok(f) => f,
+        let _span = softwatt_obs::span("store.load_ns");
+        let bytes = match fs::read(&path) {
+            Ok(bytes) => bytes,
             Err(e) => {
                 if e.kind() != io::ErrorKind::NotFound {
                     softwatt_obs::obs_event!(
@@ -200,8 +201,7 @@ impl TraceStore {
                 return None;
             }
         };
-        let _span = softwatt_obs::span("store.load_ns");
-        let parsed = PerfTrace::from_binary(io::BufReader::new(file)).and_then(|(trace, note)| {
+        let parsed = PerfTrace::from_binary(&bytes).and_then(|(trace, note)| {
             if note == key.descriptor.as_bytes() {
                 Ok(trace)
             } else {
@@ -606,8 +606,7 @@ mod tests {
         assert!(store.load_raw(&key).is_none(), "no entry, no bytes");
         store.store(&key, &trace);
         let bytes = store.load_raw(&key).expect("raw bytes of the entry");
-        let (parsed, note) =
-            PerfTrace::from_binary(io::Cursor::new(&bytes)).expect("raw bytes parse");
+        let (parsed, note) = PerfTrace::from_binary(&bytes).expect("raw bytes parse");
         assert_eq!(parsed, trace);
         assert_eq!(note, key.descriptor().as_bytes());
 

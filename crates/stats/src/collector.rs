@@ -329,7 +329,7 @@ impl StatsCollector {
         self.log.push(Sample {
             end_cycle: self.cycle,
             mode_cycles,
-            events,
+            events: std::sync::Arc::new(events),
         });
         self.window_start_mode_cycles = self.mode_cycles;
         self.window_start_cycle = self.cycle;

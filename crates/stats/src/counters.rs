@@ -52,6 +52,12 @@ impl CounterSet {
         &self.counts
     }
 
+    /// Mutable raw counts, for decoders that fill a set in place.
+    #[inline]
+    pub(crate) fn counts_mut(&mut self) -> &mut [u64; UnitEvent::COUNT] {
+        &mut self.counts
+    }
+
     /// Builds a set directly from a raw counts array.
     pub(crate) fn from_counts(counts: [u64; UnitEvent::COUNT]) -> CounterSet {
         CounterSet { counts }

@@ -8,6 +8,7 @@
 //! adds no simulation slowdown.
 
 use std::io::{self, BufRead, Write};
+use std::sync::Arc;
 
 use crate::{Mode, ModeCounters, UnitEvent};
 
@@ -20,8 +21,16 @@ pub struct Sample {
     /// [`Mode::index`].
     pub mode_cycles: [u64; Mode::COUNT],
     /// Event-count deltas accumulated during the window, per mode.
-    pub events: ModeCounters,
+    ///
+    /// Frozen once the sample is emitted: nothing mutates a published
+    /// block, so clones of a sample (a trace's segments, a replayed log)
+    /// share one allocation instead of copying the counters.
+    pub events: Arc<ModeCounters>,
 }
+
+// A sample is a handle, not a counter block: copying one must stay a
+// few words, or replay goes back to moving kilobytes per window.
+const _: () = assert!(std::mem::size_of::<Sample>() <= 64);
 
 impl Sample {
     /// Total cycles covered by this sample window.
@@ -61,6 +70,10 @@ impl SimLog {
             sample_interval,
             samples: Vec::new(),
         }
+    }
+
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
+        self.samples.reserve_exact(additional);
     }
 
     pub(crate) fn push(&mut self, sample: Sample) {
@@ -206,7 +219,7 @@ impl SimLog {
             log.push(Sample {
                 end_cycle,
                 mode_cycles,
-                events,
+                events: Arc::new(events),
             });
         }
         Ok(log)
@@ -237,7 +250,7 @@ mod tests {
         Sample {
             end_cycle: end,
             mode_cycles,
-            events,
+            events: Arc::new(events),
         }
     }
 

@@ -7,7 +7,7 @@
 //! work segments and allocates a fresh `ModeCounters` per emitted window.
 //!
 //! This module exploits the capture invariants to emit the *identical* log
-//! directly:
+//! directly, in O(samples) pointer copies:
 //!
 //! - The capture run flushes the sampling window at every disk-request
 //!   boundary (see [`crate::StatsCollector::flush_window`]), so the window
@@ -15,12 +15,13 @@
 //!   segment except possibly the last therefore spans exactly one full
 //!   sampling interval, and replaying a sample through a collector sitting
 //!   at offset zero reproduces it verbatim (same events, same mode cycles,
-//!   shifted `end_cycle`). We skip the collector and copy the sample.
+//!   shifted `end_cycle`). We skip the collector and share the sample's
+//!   frozen counter block.
 //! - [`crate::StatsCollector::skip_idle_gap`] records all synthesized idle
 //!   events *before* ticking, so they land in the gap's first window; the
-//!   remaining windows are pure idle cycles with zero events. The residual
-//!   carry depends only on the `(gap, rates)` sequence, which we reproduce
-//!   exactly, in order.
+//!   remaining windows are pure idle cycles with zero events, and all of
+//!   them share one zeroed counter block. The residual carry depends only
+//!   on the `(gap, rates)` sequence, which we reproduce exactly, in order.
 //! - The idle pseudo-service aggregate is a fold over the gaps in gap order
 //!   ([`crate::ServiceProfiler::exit`]); we perform the same fold on a local
 //!   aggregate and merge it in once. Floating-point addition order is
@@ -28,6 +29,8 @@
 //!
 //! The result is bit-for-bit equal to the collector-driven path — the
 //! equivalence is pinned by a proptest in `crates/stats/tests/`.
+
+use std::sync::Arc;
 
 use crate::{
     CounterSet, EnergyWeights, Mode, ModeCounters, PerfTrace, Sample, ServiceAggregate, ServiceId,
@@ -58,6 +61,14 @@ impl PerfTrace {
     ) -> (SimLog, ServiceProfiler) {
         let interval = self.sample_interval;
         let mut log = SimLog::new(self.clocking, interval);
+        let gap_windows: u64 = gaps
+            .iter()
+            .take(self.segments.len())
+            .map(|gap| gap.div_ceil(interval))
+            .sum();
+        let work_windows: usize = self.segments.iter().map(Vec::len).sum();
+        log.reserve_exact(work_windows + gap_windows as usize);
+        let zeroed = Arc::new(ModeCounters::new());
         let mut cycle = 0u64;
         let mut idle_residual = [0.0f64; UnitEvent::COUNT];
         let mut idle_agg = ServiceAggregate::empty();
@@ -79,7 +90,7 @@ impl PerfTrace {
                 log.push(Sample {
                     end_cycle: cycle,
                     mode_cycles: sample.mode_cycles,
-                    events: sample.events.clone(),
+                    events: Arc::clone(&sample.events),
                 });
             }
             let Some(&gap) = gaps.get(i) else { continue };
@@ -108,23 +119,21 @@ impl PerfTrace {
 
             // Emit the gap's windows: all events land in the first (they
             // are recorded before any tick); the rest are pure idle time.
+            let mut first = ModeCounters::new();
+            *first.mode_mut(Mode::Idle) = events;
+            let mut window_events = Arc::new(first);
             let mut remaining = gap;
-            let mut first = true;
             while remaining > 0 {
                 let step = remaining.min(interval);
                 remaining -= step;
                 cycle += step;
                 let mut mode_cycles = [0u64; Mode::COUNT];
                 mode_cycles[Mode::Idle.index()] = step;
-                let mut mc = ModeCounters::new();
-                if first {
-                    *mc.mode_mut(Mode::Idle) = events.clone();
-                    first = false;
-                }
+                let events = std::mem::replace(&mut window_events, Arc::clone(&zeroed));
                 log.push(Sample {
                     end_cycle: cycle,
                     mode_cycles,
-                    events: mc,
+                    events,
                 });
             }
         }
@@ -139,8 +148,11 @@ impl PerfTrace {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use crate::{
-        Clocking, CounterSet, EnergyWeights, Mode, PerfTrace, ServiceId, StatsCollector, UnitEvent,
+        Clocking, CounterSet, EnergyWeights, Mode, ModeCounters, PerfTrace, ServiceId,
+        StatsCollector, UnitEvent,
     };
 
     fn weights() -> EnergyWeights {
@@ -231,6 +243,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn replay_shares_counter_blocks_instead_of_copying() {
+        let trace = sample_trace();
+        let [first, second] = &trace.segments[..] else {
+            panic!("sample trace has two segments");
+        };
+        // A 25-cycle gap at interval 10 emits windows of 10, 10 and 5.
+        let (log, _) = trace.fast_replay(&[25], weights(), ServiceId(7));
+        let (work_a, rest) = log.samples().split_at(first.len());
+        let (gap, work_b) = rest.split_at(3);
+        for (replayed, captured) in work_a.iter().zip(first).chain(work_b.iter().zip(second)) {
+            assert!(Arc::ptr_eq(&replayed.events, &captured.events));
+        }
+        assert!(!Arc::ptr_eq(&gap[0].events, &gap[1].events));
+        assert!(Arc::ptr_eq(&gap[1].events, &gap[2].events));
+        assert_eq!(*gap[1].events, ModeCounters::new());
+        assert_eq!(work_b.len(), second.len());
     }
 
     #[test]

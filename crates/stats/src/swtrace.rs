@@ -41,7 +41,8 @@
 //! [`io::ErrorKind::UnexpectedEof`]), so callers can treat "any error" as
 //! "corrupt entry" uniformly.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
+use std::sync::Arc;
 
 use crate::hash::fnv1a;
 use crate::{
@@ -99,7 +100,22 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// Counts in a sampled log are overwhelmingly below 128, so the
+    /// one-byte case is inlined and everything else takes the shared
+    /// decoder out of line.
+    #[inline]
     fn varint(&mut self) -> io::Result<u64> {
+        match self.data.get(self.pos) {
+            Some(&byte) if byte < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(byte))
+            }
+            _ => self.varint_slow(),
+        }
+    }
+
+    #[cold]
+    fn varint_slow(&mut self) -> io::Result<u64> {
         match crate::varint::decode(&self.data[self.pos..]) {
             Ok(Some((v, used))) => {
                 self.pos += used;
@@ -122,7 +138,28 @@ impl<'a> Cursor<'a> {
     fn done(&self) -> bool {
         self.pos == self.data.len()
     }
+
+    /// Capacity to reserve for `count` items of at least `min_bytes`
+    /// encoded bytes each: never more than the rest of the section could
+    /// hold, so a forged count cannot make the reader over-allocate.
+    fn capacity(&self, count: u64, min_bytes: usize) -> usize {
+        let fits = (self.data.len() - self.pos) / min_bytes;
+        usize::try_from(count).map_or(fits, |count| count.min(fits))
+    }
 }
+
+/// Fewest encoded bytes of one request: three one-byte varints.
+const MIN_REQUEST_BYTES: usize = 3;
+/// Fewest encoded bytes of one idle rate: an event index and an f64.
+const MIN_IDLE_RATE_BYTES: usize = 1 + 8;
+/// Fewest encoded bytes of one service: id, invocations and cycles, two
+/// f64 energy sums, then one byte per event count.
+const MIN_SERVICE_BYTES: usize = 3 + 16 + UnitEvent::COUNT;
+/// Fewest encoded bytes of one segment: its sample count.
+const MIN_SEGMENT_BYTES: usize = 1;
+/// Fewest encoded bytes of one sample: the end-cycle delta, the mode
+/// cycles and the event counts, one byte each.
+const MIN_SAMPLE_BYTES: usize = 1 + Mode::COUNT + Mode::COUNT * UnitEvent::COUNT;
 
 fn section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
     out.push(tag);
@@ -216,18 +253,15 @@ impl PerfTrace {
         w.write_all(&out)
     }
 
-    /// Reads a trace previously written by [`PerfTrace::to_binary`],
+    /// Decodes a trace previously written by [`PerfTrace::to_binary`],
     /// returning the trace and the caller annotation.
     ///
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidData`] for bad magic, an unsupported format
     /// version, a checksum mismatch, malformed sections, or violated trace
-    /// invariants; [`io::ErrorKind::UnexpectedEof`] for truncation; plus
-    /// any I/O error from the reader.
-    pub fn from_binary<R: Read>(mut r: R) -> io::Result<(PerfTrace, Vec<u8>)> {
-        let mut data = Vec::new();
-        r.read_to_end(&mut data)?;
+    /// invariants; [`io::ErrorKind::UnexpectedEof`] for truncation.
+    pub fn from_binary(data: &[u8]) -> io::Result<(PerfTrace, Vec<u8>)> {
         if data.len() < SWTRACE_MAGIC.len() + 8 {
             return Err(short("swtrace file shorter than magic + checksum"));
         }
@@ -281,7 +315,7 @@ impl PerfTrace {
 
         let mut sec = expect(SEC_REQUESTS)?;
         let count = sec.varint()?;
-        let mut requests = Vec::with_capacity(count.min(1 << 20) as usize);
+        let mut requests = Vec::with_capacity(sec.capacity(count, MIN_REQUEST_BYTES));
         let mut prev_submit = 0u64;
         for _ in 0..count {
             let work_submit = prev_submit
@@ -300,7 +334,7 @@ impl PerfTrace {
 
         let mut sec = expect(SEC_IDLERATES)?;
         let count = sec.varint()?;
-        let mut idle_rates = Vec::with_capacity(count.min(1 << 16) as usize);
+        let mut idle_rates = Vec::with_capacity(sec.capacity(count, MIN_IDLE_RATE_BYTES));
         for _ in 0..count {
             let index = sec.varint()? as usize;
             if index >= UnitEvent::COUNT {
@@ -314,7 +348,7 @@ impl PerfTrace {
 
         let mut sec = expect(SEC_SERVICES)?;
         let count = sec.varint()?;
-        let mut work_services = Vec::with_capacity(count.min(1 << 16) as usize);
+        let mut work_services = Vec::with_capacity(sec.capacity(count, MIN_SERVICE_BYTES));
         for _ in 0..count {
             let id = sec.varint()?;
             let service = ServiceId(
@@ -337,11 +371,11 @@ impl PerfTrace {
 
         let mut sec = expect(SEC_SEGMENTS)?;
         let seg_count = sec.varint()?;
-        let mut segments = Vec::with_capacity(seg_count.min(1 << 20) as usize);
+        let mut segments = Vec::with_capacity(sec.capacity(seg_count, MIN_SEGMENT_BYTES));
         let mut prev_end = 0i64;
         for _ in 0..seg_count {
             let sample_count = sec.varint()?;
-            let mut segment = Vec::with_capacity(sample_count.min(1 << 20) as usize);
+            let mut segment = Vec::with_capacity(sec.capacity(sample_count, MIN_SAMPLE_BYTES));
             for _ in 0..sample_count {
                 let end = prev_end
                     .checked_add(sec.zigzag()?)
@@ -352,10 +386,11 @@ impl PerfTrace {
                 for mc in &mut mode_cycles {
                     *mc = sec.varint()?;
                 }
-                let mut events = ModeCounters::new();
+                let mut events = Arc::new(ModeCounters::new());
+                let counters = Arc::get_mut(&mut events).expect("a fresh Arc is unique");
                 for m in Mode::ALL {
-                    for e in UnitEvent::ALL {
-                        events.mode_mut(m).add(e, sec.varint()?);
+                    for n in counters.mode_mut(m).counts_mut() {
+                        *n = sec.varint()?;
                     }
                 }
                 segment.push(Sample {
@@ -409,7 +444,7 @@ mod tests {
         Sample {
             end_cycle: end,
             mode_cycles,
-            events,
+            events: Arc::new(events),
         }
     }
 
@@ -462,6 +497,19 @@ mod tests {
         );
         assert_eq!(back.idle_rates[0].1.to_bits(), t.idle_rates[0].1.to_bits());
         assert_eq!(back.clocking.hz().to_bits(), t.clocking.hz().to_bits());
+    }
+
+    #[test]
+    fn counters_round_trip_across_varint_widths() {
+        let mut t = trace();
+        let events = Arc::make_mut(&mut t.segments[0][0].events);
+        let wide = [0, 127, 128, 1 << 35, u64::MAX];
+        for (e, &n) in UnitEvent::ALL.iter().zip(&wide) {
+            events.mode_mut(Mode::KernelSync).add(*e, n);
+        }
+        events.mode_mut(Mode::Idle).add(UnitEvent::AluOp, u64::MAX);
+        let (back, _) = PerfTrace::from_binary(&encode(&t, b"")).unwrap();
+        assert_eq!(back, t);
     }
 
     #[test]

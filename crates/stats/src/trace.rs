@@ -23,6 +23,7 @@
 //! file that round-trips exactly (floats travel as IEEE-754 bit patterns).
 
 use std::io::{self, BufRead, Write};
+use std::sync::Arc;
 
 use crate::{Clocking, Mode, ModeCounters, Sample, ServiceAggregate, ServiceId, UnitEvent};
 
@@ -66,8 +67,8 @@ pub struct PerfTrace {
 }
 
 impl PerfTrace {
-    /// Checks cross-section invariants (segment/request correspondence,
-    /// monotone work offsets). Both deserializers — [`PerfTrace::from_csv`]
+    /// Checks cross-section invariants (a positive sampling interval,
+    /// segment/request correspondence, monotone work offsets). Both deserializers — [`PerfTrace::from_csv`]
     /// and the binary [`PerfTrace::from_binary`] — run this same check, so
     /// a hand-edited CSV can never construct a trace the binary codec
     /// would reject, and vice versa.
@@ -76,6 +77,9 @@ impl PerfTrace {
     ///
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
+        if self.sample_interval == 0 {
+            return Err("trace has a zero sampling interval".to_string());
+        }
         if self.segments.len() != self.requests.len() + 1 {
             return Err(format!(
                 "trace has {} segments for {} requests (want requests + 1)",
@@ -284,7 +288,7 @@ impl PerfTrace {
                     segment.push(Sample {
                         end_cycle,
                         mode_cycles,
-                        events,
+                        events: Arc::new(events),
                     });
                 }
                 _ => return Err(bad("unknown row tag")),
@@ -312,7 +316,7 @@ mod tests {
         Sample {
             end_cycle: end,
             mode_cycles,
-            events,
+            events: Arc::new(events),
         }
     }
 
@@ -365,6 +369,13 @@ mod tests {
     fn validate_rejects_segment_mismatch() {
         let mut t = trace();
         t.segments.pop();
+        assert!(t.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_zero_interval() {
+        let mut t = trace();
+        t.sample_interval = 0;
         assert!(t.validate().is_err());
     }
 
