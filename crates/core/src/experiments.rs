@@ -13,19 +13,16 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 
 use softwatt_disk::{DiskConfig, DiskMode, DiskPolicy, DiskPowerTable};
 use softwatt_os::KernelService;
-use softwatt_power::{
-    GroupPower, PowerModel, SurrogateEstimate, SurrogateModel, SurrogateTrainer, UnitGroup,
-};
+use softwatt_power::{GroupPower, PowerModel, UnitGroup};
 use softwatt_stats::{Mode, PerfTrace};
 use softwatt_workloads::{Benchmark, BenchmarkSpec};
 
 use crate::budget::{system_budget, SystemBudget};
 use crate::config::{CpuModel, IdleHandling, SystemConfig};
-use crate::model_store::{ModelKey, ModelStore};
 use crate::report::{joules, pct};
 use crate::sim::{RunResult, Simulator};
 use crate::store::{PeerSource, TraceKey, TraceStore};
@@ -105,17 +102,11 @@ impl DiskSetup {
     }
 }
 
-/// The answer-quality tier a caller asks for. Orthogonal to the memo
-/// identity ([`RunKey`]): all three tiers answer the *same* question about
-/// the same machine setup, at different cost/accuracy points, and only the
-/// two exact tiers ever enter the run/trace memos — a surrogate answer can
-/// never poison them.
+/// How a caller wants a key answered. Orthogonal to the memo identity
+/// ([`RunKey`]): both fidelities are exact and answer the *same* question
+/// about the same machine setup, differing only in what a memo miss costs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Fidelity {
-    /// Microsecond counter-surrogate estimate
-    /// ([`ExperimentSuite::surrogate_estimate`]), with an explicit error
-    /// bound; falls back to the exact tiers when no model covers the key.
-    Surrogate,
     /// The default exact tier: memo → trace replay → full simulation.
     #[default]
     Replay,
@@ -126,20 +117,10 @@ pub enum Fidelity {
 }
 
 impl Fidelity {
-    /// Stable short name used by CLIs and the serving API (the inverse of
-    /// [`Fidelity::from_name`]).
-    pub fn name(self) -> &'static str {
-        match self {
-            Fidelity::Surrogate => "surrogate",
-            Fidelity::Replay => "replay",
-            Fidelity::Full => "full",
-        }
-    }
-
-    /// Parses a [`Fidelity::name`]; `None` for an unknown name.
+    /// Parses the serving API's name for a fidelity (`replay` or `full`);
+    /// `None` for an unknown name.
     pub fn from_name(name: &str) -> Option<Fidelity> {
         match name {
-            "surrogate" => Some(Fidelity::Surrogate),
             "replay" => Some(Fidelity::Replay),
             "full" => Some(Fidelity::Full),
             _ => None,
@@ -171,7 +152,7 @@ impl WorkloadKey {
 
     /// Stable label: the benchmark name for canned workloads,
     /// `spec:<16-hex-digit content hash>` for registered specs. This is
-    /// the string surrogate models and API clients see.
+    /// the string API clients see.
     pub fn label(self) -> String {
         match self {
             WorkloadKey::Canned(b) => b.name().to_string(),
@@ -235,16 +216,6 @@ pub struct RunBundle {
     pub model: PowerModel,
 }
 
-/// What [`ExperimentSuite::run_at`] produced for a key: a shared exact
-/// bundle, or a counter-surrogate estimate carrying its error bound.
-#[derive(Debug)]
-pub enum RunOutcome {
-    /// An exact answer from the memo/replay/full tiers.
-    Exact(Arc<RunBundle>),
-    /// A microsecond surrogate estimate.
-    Estimate(SurrogateEstimate),
-}
-
 /// A memo slot: either the finished value, or a ticket other threads
 /// wait on while the claiming thread computes it.
 #[derive(Debug)]
@@ -256,15 +227,65 @@ enum Slot<T> {
 /// Completion ticket for an in-flight computation.
 #[derive(Debug)]
 struct InFlight<T> {
-    done: Mutex<Option<Arc<T>>>,
+    state: Mutex<Progress<T>>,
     cv: Condvar,
+}
+
+/// Where an in-flight computation stands, as its waiters see it.
+#[derive(Debug)]
+enum Progress<T> {
+    Running,
+    Done(Arc<T>),
+    /// The build panicked; its slot is gone and waiters re-claim the key.
+    Abandoned,
 }
 
 impl<T> Default for InFlight<T> {
     fn default() -> Self {
         InFlight {
-            done: Mutex::new(None),
+            state: Mutex::new(Progress::Running),
             cv: Condvar::new(),
+        }
+    }
+}
+
+/// A thread's claim on a pending memo slot. Settling it publishes the
+/// value; dropping it unsettled (the build unwound) removes the slot and
+/// wakes the waiters, so a panicking build never wedges its key.
+struct Claim<'a, K: Eq + Hash + Copy, T> {
+    map: &'a Mutex<HashMap<K, Slot<T>>>,
+    key: K,
+    inflight: Arc<InFlight<T>>,
+    settled: bool,
+}
+
+impl<K: Eq + Hash + Copy, T> Claim<'_, K, T> {
+    fn settle(&mut self, value: Option<Arc<T>>) {
+        self.settled = true;
+        // The memo lock is never held across a build, so a panicking build
+        // cannot have poisoned it; tolerate poison anyway, since this also
+        // runs during an unwind.
+        let mut slots = self.map.lock().unwrap_or_else(PoisonError::into_inner);
+        match &value {
+            Some(value) => slots.insert(self.key, Slot::Ready(Arc::clone(value))),
+            None => slots.remove(&self.key),
+        };
+        drop(slots);
+        let mut state = self
+            .inflight
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *state = value.map_or(Progress::Abandoned, Progress::Done);
+        drop(state);
+        self.inflight.cv.notify_all();
+    }
+}
+
+impl<K: Eq + Hash + Copy, T> Drop for Claim<'_, K, T> {
+    fn drop(&mut self) {
+        if !self.settled {
+            self.settle(None);
         }
     }
 }
@@ -293,7 +314,9 @@ const TRACE_MEMO: MemoMetrics = MemoMetrics {
 
 /// Claims `key` in `map` and computes it with `build`, or waits for (and
 /// shares) the result another thread is already computing. `build` runs
-/// outside the map lock, so distinct keys proceed in parallel.
+/// outside the map lock, so distinct keys proceed in parallel. If `build`
+/// panics, the panic propagates to its caller and the key is released:
+/// one of the waiters claims it and builds again.
 fn memoize<K, T>(
     map: &Mutex<HashMap<K, Slot<T>>>,
     key: K,
@@ -303,42 +326,48 @@ fn memoize<K, T>(
 where
     K: Eq + Hash + Copy,
 {
-    let ticket = {
-        let mut slots = map.lock().expect("memo lock");
-        match slots.get(&key) {
-            Some(Slot::Ready(value)) => {
-                softwatt_obs::count(metrics.hit, 1);
-                return Arc::clone(value);
+    loop {
+        let (inflight, claimed) = {
+            let mut slots = map.lock().expect("memo lock");
+            match slots.get(&key) {
+                Some(Slot::Ready(value)) => {
+                    softwatt_obs::count(metrics.hit, 1);
+                    return Arc::clone(value);
+                }
+                Some(Slot::Pending(inflight)) => (Arc::clone(inflight), false),
+                None => {
+                    let inflight = Arc::new(InFlight::default());
+                    slots.insert(key, Slot::Pending(Arc::clone(&inflight)));
+                    (inflight, true)
+                }
             }
-            Some(Slot::Pending(inflight)) => Some(Arc::clone(inflight)),
-            None => {
-                slots.insert(key, Slot::Pending(Arc::new(InFlight::default())));
-                None
-            }
-        }
-    };
+        };
 
-    if let Some(inflight) = ticket {
+        if claimed {
+            softwatt_obs::count(metrics.miss, 1);
+            let mut claim = Claim {
+                map,
+                key,
+                inflight,
+                settled: false,
+            };
+            let value = Arc::new(build());
+            claim.settle(Some(Arc::clone(&value)));
+            return value;
+        }
+
         // Another thread is computing this key; wait for its result.
         softwatt_obs::count(metrics.wait, 1);
         let _wait_span = softwatt_obs::span("suite.inflight_wait_ns");
-        let mut done = inflight.done.lock().expect("inflight lock");
-        while done.is_none() {
-            done = inflight.cv.wait(done).expect("inflight wait");
+        let mut state = inflight.state.lock().expect("inflight lock");
+        while matches!(*state, Progress::Running) {
+            state = inflight.cv.wait(state).expect("inflight wait");
         }
-        return Arc::clone(done.as_ref().expect("completed value"));
+        if let Progress::Done(value) = &*state {
+            return Arc::clone(value);
+        }
+        // The builder panicked and released the key: try to claim it.
     }
-    softwatt_obs::count(metrics.miss, 1);
-
-    let value = Arc::new(build());
-    let mut slots = map.lock().expect("memo lock");
-    let Some(Slot::Pending(inflight)) = slots.insert(key, Slot::Ready(Arc::clone(&value))) else {
-        unreachable!("claimed slot must still be pending");
-    };
-    drop(slots);
-    *inflight.done.lock().expect("inflight lock") = Some(Arc::clone(&value));
-    inflight.cv.notify_all();
-    value
 }
 
 // Everything the worker threads exchange must stay shareable; a field
@@ -370,13 +399,10 @@ pub struct ExperimentSuite {
     /// Where each memoized trace came from (`"local"` store hit, `"peer"`
     /// fetch, `"sim"` capture), for the `X-Softwatt-Source` header.
     trace_sources: Mutex<HashMap<(WorkloadKey, CpuModel), &'static str>>,
-    model_store: Option<ModelStore>,
-    surrogate: RwLock<Option<Arc<SurrogateModel>>>,
     executed: AtomicUsize,
     replays: AtomicUsize,
     store_loads: AtomicUsize,
     peer_loads: AtomicUsize,
-    surrogate_served: AtomicUsize,
 }
 
 impl ExperimentSuite {
@@ -418,13 +444,10 @@ impl ExperimentSuite {
             store: None,
             peers: None,
             trace_sources: Mutex::new(HashMap::new()),
-            model_store: None,
-            surrogate: RwLock::new(None),
             executed: AtomicUsize::new(0),
             replays: AtomicUsize::new(0),
             store_loads: AtomicUsize::new(0),
             peer_loads: AtomicUsize::new(0),
-            surrogate_served: AtomicUsize::new(0),
         })
     }
 
@@ -438,9 +461,6 @@ impl ExperimentSuite {
     /// which by definition never touches traces.
     #[must_use]
     pub fn with_trace_store(mut self, store: TraceStore) -> ExperimentSuite {
-        // Surrogate models are cached next to the traces they are fitted
-        // from; a store failure only disables model persistence.
-        self.model_store = ModelStore::open(store.dir()).ok();
         self.store = Some(store);
         self
     }
@@ -511,12 +531,6 @@ impl ExperimentSuite {
     /// simulation.
     pub fn replays_derived(&self) -> usize {
         self.replays.load(Ordering::Acquire)
-    }
-
-    /// How many requests were answered by the counter surrogate instead
-    /// of an exact tier.
-    pub fn surrogate_served(&self) -> usize {
-        self.surrogate_served.load(Ordering::Acquire)
     }
 
     /// Runs (or returns the memoized) simulation for one machine setup.
@@ -870,115 +884,15 @@ impl ExperimentSuite {
         }
     }
 
-    // ----- The surrogate fidelity tier -----------------------------------
-
-    /// Answers `key` at the requested [`Fidelity`].
-    ///
-    /// `Surrogate` tries the calibrated counter model first and falls back
-    /// to the exact replay tier when no model covers the key, so the call
-    /// always produces an answer. `Replay` is [`ExperimentSuite::run_key`];
-    /// `Full` forces a memo miss to execute as a full simulation (the
-    /// memoized value is bit-identical either way, so exact memo entries
-    /// stay interchangeable across fidelities).
-    pub fn run_at(&self, key: RunKey, fidelity: Fidelity) -> RunOutcome {
-        match fidelity {
-            Fidelity::Surrogate => match self.surrogate_estimate(key) {
-                Some(est) => RunOutcome::Estimate(est),
-                None => RunOutcome::Exact(self.run_key(key)),
-            },
-            Fidelity::Replay => RunOutcome::Exact(self.run_key(key)),
-            Fidelity::Full => RunOutcome::Exact(memoize(&self.runs, key, &BUNDLE_MEMO, || {
-                self.execute_with(key, false)
-            })),
-        }
-    }
-
-    /// The currently installed surrogate model, if any.
-    pub fn surrogate_model(&self) -> Option<Arc<SurrogateModel>> {
-        self.surrogate.read().expect("surrogate lock").clone()
-    }
-
-    /// A microsecond estimate for `key` from the calibrated counter
-    /// surrogate: `None` when no model is installed or the model has no
-    /// cell for the key. Never touches the run/trace memos, never
-    /// simulates, never blocks on in-flight work — exact-tier state is
-    /// byte-identical with and without surrogate traffic.
-    pub fn surrogate_estimate(&self, key: RunKey) -> Option<SurrogateEstimate> {
-        let model = self.surrogate_model()?;
-        let est = model.estimate(&key.workload.label(), key.cpu.name(), key.disk.name())?;
-        self.surrogate_served.fetch_add(1, Ordering::AcqRel);
-        softwatt_obs::count("suite.surrogate_served", 1);
-        Some(est)
-    }
-
-    /// Keys whose bundles are finished in the memory memo, in a stable
-    /// order — the harvestable training set for a refit.
-    fn memoized_run_keys(&self) -> Vec<RunKey> {
-        let slots = self.runs.lock().expect("memo lock");
-        let mut keys: Vec<RunKey> = slots
-            .iter()
-            .filter_map(|(key, slot)| matches!(slot, Slot::Ready(_)).then_some(*key))
-            .collect();
-        keys.sort_by_key(|k| (k.workload.label(), k.cpu.name(), k.disk.name()));
-        keys
-    }
-
-    /// Refits the surrogate from every run currently memoized and installs
-    /// the new model, returning it; `None` (leaving any existing model in
-    /// place) when nothing is memoized yet. Deterministic: the same set of
-    /// memoized runs produces a bit-identical model regardless of the
-    /// order they landed in.
-    pub fn refit_surrogate(&self) -> Option<Arc<SurrogateModel>> {
-        let _span = softwatt_obs::span("suite.surrogate_refit_ns");
-        let mut trainer = SurrogateTrainer::new();
-        for key in self.memoized_run_keys() {
-            let Some(bundle) = self.bundle_if_ready(key) else {
-                continue;
-            };
-            let exact = bundle.model.mode_table(&bundle.run.log).total_energy_j();
-            trainer.add_run(
-                &key.workload.label(),
-                key.cpu.name(),
-                key.disk.name(),
-                &bundle.run.log,
-                &bundle.model,
-                bundle.run.duration_s,
-                bundle.run.committed,
-                bundle.run.user_instrs,
-                bundle.run.disk.energy_j,
-                exact,
-            );
-        }
-        let model = Arc::new(trainer.fit()?);
-        *self.surrogate.write().expect("surrogate lock") = Some(Arc::clone(&model));
-        softwatt_obs::count("suite.surrogate_refits", 1);
-        Some(model)
-    }
-
-    /// Ensures a surrogate model is installed and returns it: the already
-    /// installed model, else the persistent model store's entry, else a
-    /// fresh calibration — prewarm the paper grid on up to `jobs` threads,
-    /// refit, and persist the result for the next process.
-    pub fn calibrate_surrogate(&self, jobs: usize) -> Arc<SurrogateModel> {
-        if let Some(model) = self.surrogate_model() {
-            return model;
-        }
-        if let Some(store) = &self.model_store {
-            if let Some(model) = store.load(&ModelKey::derive(&self.config)) {
-                let model = Arc::new(model);
-                *self.surrogate.write().expect("surrogate lock") = Some(Arc::clone(&model));
-                return model;
-            }
-        }
-        let _span = softwatt_obs::span("suite.surrogate_calibrate_ns");
-        self.prewarm(&self.paper_grid(), jobs);
-        let model = self
-            .refit_surrogate()
-            .expect("the prewarmed paper grid is non-empty training data");
-        if let Some(store) = &self.model_store {
-            store.store(&ModelKey::derive(&self.config), &model);
-        }
-        model
+    /// Answers `key` at [`Fidelity::Full`]: like
+    /// [`ExperimentSuite::run_key`], except that a memo miss executes as a
+    /// full simulation, never a replay. The memoized bundle is
+    /// bit-identical either way, so memo entries stay interchangeable
+    /// across fidelities and a hit returns the shared bundle.
+    pub fn run_full(&self, key: RunKey) -> Arc<RunBundle> {
+        memoize(&self.runs, key, &BUNDLE_MEMO, || {
+            self.execute_with(key, false)
+        })
     }
 
     /// Every distinct machine setup the full paper evaluation touches.
@@ -2244,5 +2158,74 @@ mod tests {
         let bytes = suite.trace_share_bytes(WorkloadKey::Canned(Benchmark::Jess), CpuModel::Mxs);
         assert!(!bytes.is_empty());
         assert_eq!(suite.runs_executed(), 1, "captured locally");
+    }
+
+    #[test]
+    fn panicking_build_releases_its_key_to_waiters() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::mpsc;
+        use std::thread;
+        use std::time::Duration;
+
+        const METRICS: MemoMetrics = MemoMetrics {
+            hit: "test.memo.hits",
+            miss: "test.memo.misses",
+            wait: "test.memo.waits",
+        };
+        let map: Arc<Mutex<HashMap<u32, Slot<u32>>>> = Arc::default();
+        let waiters = || match map.lock().unwrap().get(&1) {
+            Some(Slot::Pending(inflight)) => Arc::strong_count(inflight) - 2,
+            _ => 0,
+        };
+
+        // The first caller claims the key and panics once released.
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let builder = {
+            let map = Arc::clone(&map);
+            thread::spawn(move || {
+                catch_unwind(AssertUnwindSafe(|| {
+                    memoize(&map, 1, &METRICS, || {
+                        started_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                        panic!("injected build failure");
+                    })
+                }))
+                .is_err()
+            })
+        };
+        started_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+
+        // A second caller attaches to the in-flight build before it panics.
+        let (waiter_tx, waiter_rx) = mpsc::channel();
+        let waiter = {
+            let map = Arc::clone(&map);
+            thread::spawn(move || {
+                let _ = waiter_tx.send(*memoize(&map, 1, &METRICS, || 7));
+            })
+        };
+        while waiters() == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+
+        release_tx.send(()).unwrap();
+        assert!(builder.join().unwrap(), "the panic reaches the builder");
+        assert_eq!(
+            waiter_rx.recv_timeout(Duration::from_secs(10)),
+            Ok(7),
+            "the attached waiter re-claims the key and builds it"
+        );
+        waiter.join().unwrap();
+
+        // A later caller finds the rebuilt value.
+        let (late_tx, late_rx) = mpsc::channel();
+        let late = {
+            let map = Arc::clone(&map);
+            thread::spawn(move || {
+                let _ = late_tx.send(*memoize(&map, 1, &METRICS, || 8));
+            })
+        };
+        assert_eq!(late_rx.recv_timeout(Duration::from_secs(10)), Ok(7));
+        late.join().unwrap();
     }
 }

@@ -4,10 +4,6 @@
 //! what the suite's three-tier lookup (memo → trace store → full sim)
 //! already knows about its cost:
 //!
-//! - **surrogate** — the request opted into `fidelity=surrogate` and the
-//!   calibrated counter model covers its cell: a handful of dot products,
-//!   rendered on the reactor thread like a memo hit. The cheapest class;
-//!   an uncovered cell falls through to the exact classification below.
 //! - **inline** — the answer is already memoized (or is trivially cheap:
 //!   `/healthz`, `/metrics`, `/admin/shutdown`, parse errors). Rendered
 //!   on the reactor thread in microseconds; no queue, no worker.
@@ -27,7 +23,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 
 use softwatt::experiments::{DiskSetup, RunKey, WorkloadKey};
-use softwatt::{Benchmark, CpuModel, ExperimentSuite, Fidelity, RunOutcome};
+use softwatt::{Benchmark, CpuModel, ExperimentSuite, Fidelity};
 
 use crate::http::{Request, Response};
 use crate::json::{self, Value};
@@ -38,8 +34,6 @@ pub const RETRY_AFTER_S: u32 = 1;
 /// The admission lane a request is classified into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
-    /// Surrogate estimate, answered on the reactor thread.
-    Surrogate,
     /// Answered on the reactor thread (memo hit or trivial route).
     Inline,
     /// Trace replay on the replay worker pool.
@@ -52,7 +46,6 @@ impl Lane {
     /// The label used in metrics and the `X-Softwatt-Lane` header.
     pub fn label(self) -> &'static str {
         match self {
-            Lane::Surrogate => "surrogate",
             Lane::Inline => "inline",
             Lane::Replay => "replay",
             Lane::Cold => "cold",
@@ -62,7 +55,6 @@ impl Lane {
     /// Counter: requests served on this lane.
     pub fn served(self) -> &'static str {
         match self {
-            Lane::Surrogate => "serve.lane.surrogate.served",
             Lane::Inline => "serve.lane.inline.served",
             Lane::Replay => "serve.lane.replay.served",
             Lane::Cold => "serve.lane.cold.served",
@@ -72,7 +64,6 @@ impl Lane {
     /// Histogram: admission-to-response latency (µs) on this lane.
     pub fn latency(self) -> &'static str {
         match self {
-            Lane::Surrogate => "serve.lane.surrogate.latency_us",
             Lane::Inline => "serve.lane.inline.latency_us",
             Lane::Replay => "serve.lane.replay.latency_us",
             Lane::Cold => "serve.lane.cold.latency_us",
@@ -163,11 +154,6 @@ pub struct Ctx {
     pub suite: Arc<ExperimentSuite>,
     /// Set by `/admin/shutdown` (and signals); the reactor polls it.
     pub shutdown: Arc<AtomicBool>,
-    /// Debounces background surrogate refits: set when a cold simulation
-    /// lands while a model is installed, cleared when the refit job runs.
-    /// At most one refit is queued at a time, however many cold runs
-    /// complete while it waits.
-    pub refit_pending: AtomicBool,
     /// Rendered `/v1/run` bodies by key. Bundles are immutable once
     /// memoized, so the rendered JSON never invalidates — and a warm hit
     /// on the reactor thread becomes a lock + memcpy instead of
@@ -187,7 +173,6 @@ impl Ctx {
         Ctx {
             suite,
             shutdown,
-            refit_pending: AtomicBool::new(false),
             rendered: Mutex::new(HashMap::new()),
             figures: Arc::new(Mutex::new(HashMap::new())),
         }
@@ -245,30 +230,6 @@ pub fn run_response(ctx: &Ctx, key: RunKey, lane: Lane) -> Response {
     }
 }
 
-/// Background calibration: a cold-pool worker calls this after its full
-/// simulation's response is queued, folding the fresh run into the
-/// surrogate model. A no-op unless a model is already installed (the
-/// `--surrogate` boot opt-in), and debounced through
-/// [`Ctx::refit_pending`] so a burst of cold completions triggers one
-/// refit, not a pile-up — the refit reads *everything* memoized at the
-/// moment it runs, so skipped triggers lose nothing that had landed by
-/// then.
-pub(crate) fn maybe_refit_surrogate(ctx: &Ctx) {
-    if ctx.suite.surrogate_model().is_none() {
-        return;
-    }
-    if ctx
-        .refit_pending
-        .swap(true, std::sync::atomic::Ordering::AcqRel)
-    {
-        return;
-    }
-    softwatt_obs::count("serve.surrogate.refits", 1);
-    ctx.suite.refit_surrogate();
-    ctx.refit_pending
-        .store(false, std::sync::atomic::Ordering::Release);
-}
-
 /// Whether every (workload, CPU) pair in `keys` already has a trace —
 /// i.e. the whole set derives by replay without one full simulation.
 fn all_traces_ready(suite: &ExperimentSuite, keys: &[RunKey]) -> bool {
@@ -299,23 +260,6 @@ pub fn dispatch(ctx: &Ctx, route: Route, req: &Request) -> Outcome {
         }
         Route::Run => match parse_run_query(&ctx.suite, &req.body) {
             Ok((key, fidelity)) => {
-                // Surrogate tier: a covered cell is a handful of dot
-                // products, rendered right here on the reactor thread.
-                // The body is rendered fresh each time (never cached in
-                // `rendered`): a background refit can replace the model,
-                // and a cached estimate would pin the stale fit.
-                if fidelity == Fidelity::Surrogate {
-                    if let Some(est) = ctx.suite.surrogate_estimate(key) {
-                        return Outcome::Ready(
-                            Response::json(200, softwatt::json::surrogate_estimate(key, &est))
-                                .with_lane(Lane::Surrogate.label())
-                                .with_fidelity(fidelity.name(), Some(est.error_bound_pct)),
-                        );
-                    }
-                    // No calibrated model, or a cell outside it: fall
-                    // through to the exact classification below. The
-                    // answer outranks the requested tier.
-                }
                 // Warm hit: the bundle is memoized, render it right here
                 // on the reactor thread — no queue, no worker, no lock
                 // beyond the memo peek and the render-cache lookup.
@@ -338,17 +282,10 @@ pub fn dispatch(ctx: &Ctx, route: Route, req: &Request) -> Outcome {
                     let suite = Arc::clone(&ctx.suite);
                     return Outcome::Work {
                         lane: Lane::Cold,
-                        work: Box::new(move || match suite.run_at(key, Fidelity::Full) {
-                            RunOutcome::Exact(bundle) => {
-                                Response::json(200, softwatt::json::run_bundle(key, &bundle))
-                                    .with_lane(Lane::Cold.label())
-                                    .with_fidelity(Fidelity::Full.name(), None)
-                            }
-                            RunOutcome::Estimate(_) => Response::error(
-                                500,
-                                "internal",
-                                "full fidelity returned an estimate",
-                            ),
+                        work: Box::new(move || {
+                            let bundle = suite.run_full(key);
+                            Response::json(200, softwatt::json::run_bundle(key, &bundle))
+                                .with_lane(Lane::Cold.label())
                         }),
                     };
                 }
@@ -615,7 +552,7 @@ fn parse_body(body: &[u8]) -> Result<Value, Box<Response>> {
 }
 
 /// Parses a `/v1/run` body: the run key plus the optional `"fidelity"`
-/// tier (`surrogate` | `replay` | `full`; defaults to `replay`, the
+/// tier (`replay` | `full`; defaults to `replay`, the
 /// exact three-tier lookup every pre-fidelity client gets). Batch
 /// queries go through [`key_from_value`] directly and deliberately
 /// ignore any `fidelity` field: a batch is a prewarm of the exact tiers.
@@ -631,7 +568,7 @@ fn parse_run_query(
             Some(name) => Fidelity::from_name(name).ok_or_else(|| {
                 bad_request(
                     "unknown_fidelity",
-                    &format!("no fidelity '{name}' (expected surrogate, replay, or full)"),
+                    &format!("no fidelity '{name}' (expected replay or full)"),
                 )
             })?,
             None => return Err(bad_request("bad_query", "'fidelity' must be a string")),
@@ -691,11 +628,10 @@ fn render_batch(suite: &ExperimentSuite, keys: &[RunKey]) -> String {
     }
     out.push_str(&format!(
         "], \"unique_keys\": {}, \"runs_executed\": {}, \"replays_derived\": {}, \
-         \"surrogate_served\": {}, \"store_loads\": {}}}",
+         \"store_loads\": {}}}",
         unique.len(),
         suite.runs_executed(),
         suite.replays_derived(),
-        suite.surrogate_served(),
         suite.store_loads()
     ));
     out
@@ -807,11 +743,7 @@ mod tests {
 
         for (body, want) in [
             (
-                &br#"{"benchmark": "jess", "fidelity": "surrogate"}"#[..],
-                Fidelity::Surrogate,
-            ),
-            (
-                br#"{"benchmark": "jess", "fidelity": "replay"}"#,
+                &br#"{"benchmark": "jess", "fidelity": "replay"}"#[..],
                 Fidelity::Replay,
             ),
             (
@@ -832,6 +764,10 @@ mod tests {
             (br#"{"benchmark": 7}"#, "bad_query"),
             (
                 br#"{"benchmark": "jess", "fidelity": "exact"}"#,
+                "unknown_fidelity",
+            ),
+            (
+                br#"{"benchmark": "jess", "fidelity": "surrogate"}"#,
                 "unknown_fidelity",
             ),
             (br#"{"benchmark": "jess", "fidelity": 3}"#, "bad_query"),
@@ -962,7 +898,7 @@ mod tests {
     }
 
     #[test]
-    fn surrogate_fidelity_serves_covered_cells_and_falls_through_otherwise() {
+    fn full_fidelity_misses_go_cold_and_hits_stay_inline() {
         let suite = Arc::new(
             ExperimentSuite::new(SystemConfig {
                 time_scale: 500_000.0,
@@ -978,47 +914,8 @@ mod tests {
             headers: Vec::new(),
             body: body.as_bytes().to_vec(),
         };
-        let surrogate_q = r#"{"benchmark": "jess", "fidelity": "surrogate"}"#;
-
-        // No model installed yet: the surrogate tier falls through to the
-        // exact classification (cold — nothing is computed).
-        assert!(matches!(
-            dispatch(&ctx, Route::Run, &req(surrogate_q)),
-            Outcome::Shared {
-                lane: Lane::Cold,
-                ..
-            }
-        ));
-
-        // Train on the one memoized run and ask again: covered cell,
-        // served on the surrogate lane with the fidelity headers set.
         let key = RunKey::canned(Benchmark::Jess, CpuModel::Mxs, DiskSetup::Conventional);
         suite.run_key(key);
-        suite.refit_surrogate().expect("one run is enough to fit");
-        match dispatch(&ctx, Route::Run, &req(surrogate_q)) {
-            Outcome::Ready(resp) => {
-                assert_eq!(resp.status, 200);
-                assert_eq!(resp.lane, Some("surrogate"));
-                assert_eq!(resp.fidelity, Some("surrogate"));
-                assert!(resp.error_bound_pct.is_some());
-                assert!(resp.body.contains("softwatt-surrogate-v1"), "{}", resp.body);
-            }
-            _ => panic!("covered surrogate cell must be served inline"),
-        }
-
-        // A cell the model has not been calibrated on falls through to
-        // exact — here a replay (the trace exists).
-        assert!(matches!(
-            dispatch(
-                &ctx,
-                Route::Run,
-                &req(r#"{"benchmark": "jess", "disk": "idle", "fidelity": "surrogate"}"#),
-            ),
-            Outcome::Shared {
-                lane: Lane::Replay,
-                ..
-            }
-        ));
 
         // An explicit `full` on a memo miss routes to the cold pool even
         // though the trace would allow a replay...

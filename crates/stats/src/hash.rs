@@ -3,10 +3,9 @@
 //! The standard library's hashers are randomly keyed per process, which
 //! would defeat any content-addressed on-disk cache. FNV-1a 64 is the one
 //! hash this workspace uses for file names and trailing checksums: the
-//! trace store's keys (`softwatt::TraceKey`), the surrogate model store's
-//! keys, and the `swtrace-v1` / `swmodel-v1` codec checksums all go
-//! through this function, so the formats agree byte-for-byte across
-//! processes and platforms.
+//! trace store's keys (`softwatt::TraceKey`) and the `swtrace-v1` codec
+//! checksums both go through this function, so the format agrees
+//! byte-for-byte across processes and platforms.
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
