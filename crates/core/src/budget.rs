@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use softwatt_power::{GroupPower, PowerModel, UnitGroup};
+use softwatt_power::{GroupPower, ModePowerTable, PowerModel, UnitGroup};
 
 use crate::sim::RunResult;
 
@@ -90,7 +90,12 @@ impl fmt::Display for SystemBudget {
 /// Computes a run's system budget: processor/memory power from the log via
 /// the analytical models, disk power from its online energy accounting.
 pub fn system_budget(model: &PowerModel, run: &RunResult) -> SystemBudget {
-    let table = model.mode_table(&run.log);
+    budget_from_table(&model.mode_table(&run.log), run)
+}
+
+/// [`system_budget`] from a run's already-computed per-mode power table
+/// (`model.mode_table(&run.log)`), for callers that keep the table.
+pub fn budget_from_table(table: &ModePowerTable, run: &RunResult) -> SystemBudget {
     SystemBudget {
         groups: table.overall_average_power_w(),
         disk_w: if run.duration_s > 0.0 {

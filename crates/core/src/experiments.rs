@@ -13,15 +13,15 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 
 use softwatt_disk::{DiskConfig, DiskMode, DiskPolicy, DiskPowerTable};
 use softwatt_os::KernelService;
-use softwatt_power::{GroupPower, PowerModel, UnitGroup};
+use softwatt_power::{GroupPower, ModePowerTable, PowerModel, UnitGroup};
 use softwatt_stats::{Mode, PerfTrace};
 use softwatt_workloads::{Benchmark, BenchmarkSpec};
 
-use crate::budget::{system_budget, SystemBudget};
+use crate::budget::{budget_from_table, SystemBudget};
 use crate::config::{CpuModel, IdleHandling, SystemConfig};
 use crate::report::{joules, pct};
 use crate::sim::{RunResult, Simulator};
@@ -214,6 +214,19 @@ pub struct RunBundle {
     pub run: RunResult,
     /// The matching analytical power model.
     pub model: PowerModel,
+    /// `model.mode_table(&run.log)`, built on first use. Lazy, not built
+    /// with the run: a suite prewarm would otherwise pay for every table
+    /// up front, including those no caller ever reads.
+    table: OnceLock<ModePowerTable>,
+}
+
+impl RunBundle {
+    /// The run's per-mode power table under its own model, computed once
+    /// per bundle: every later call returns the same table.
+    pub fn mode_table(&self) -> &ModePowerTable {
+        self.table
+            .get_or_init(|| self.model.mode_table(&self.run.log))
+    }
 }
 
 /// A memo slot: either the finished value, or a ticket other threads
@@ -881,6 +894,7 @@ impl ExperimentSuite {
         RunBundle {
             run,
             model: PowerModel::new(&config.power_params()),
+            table: OnceLock::new(),
         }
     }
 
@@ -1024,7 +1038,7 @@ impl ExperimentSuite {
             .iter()
             .map(|&b| {
                 let bundle = self.run(b, CpuModel::Mxs, disk);
-                system_budget(&bundle.model, &bundle.run)
+                budget_from_table(bundle.mode_table(), &bundle.run)
             })
             .collect();
         SystemBudget::mean_of(&budgets).expect("Benchmark::ALL is non-empty")
@@ -1039,7 +1053,7 @@ impl ExperimentSuite {
         let mut per_mode = [GroupPower::new(); Mode::COUNT];
         let mut counts = [0usize; Mode::COUNT];
         for bundle in &runs {
-            let table = bundle.model.mode_table(&bundle.run.log);
+            let table = bundle.mode_table();
             for mode in Mode::ALL {
                 if table.mode_cycles[mode.index()] > 0 {
                     per_mode[mode.index()].merge(&table.average_power_w(mode));
@@ -1116,7 +1130,7 @@ impl ExperimentSuite {
         self.baseline_runs()
             .iter()
             .map(|bundle| {
-                let table = bundle.model.mode_table(&bundle.run.log);
+                let table = bundle.mode_table();
                 Table2Row {
                     benchmark: bundle.run.benchmark.expect("named run"),
                     cycles_pct: Mode::ALL.map(|m| 100.0 * table.cycle_fraction(m)),
@@ -1287,7 +1301,7 @@ impl ExperimentSuite {
         self.baseline_runs()
             .iter()
             .map(|bundle| {
-                let table = bundle.model.mode_table(&bundle.run.log);
+                let table = bundle.mode_table();
                 let profile = bundle.model.profile(&bundle.run.log);
                 let (peak_w, peak_at_s) = profile.peak_power_w().unwrap_or((0.0, 0.0));
                 PowerMetricsRow {
@@ -1399,8 +1413,8 @@ impl ExperimentSuite {
                 let sim = Simulator::new(config.clone()).expect("valid config");
                 let run = sim.run_benchmark(Benchmark::Jess);
                 let model = PowerModel::new(&config.power_params());
-                let budget = system_budget(&model, &run);
                 let table = model.mode_table(&run.log);
+                let budget = budget_from_table(&table, &run);
                 SweepRow {
                     l1i_kb: kb,
                     cycles: run.cycles,

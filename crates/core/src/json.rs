@@ -14,7 +14,7 @@ use softwatt_power::UnitGroup;
 use softwatt_stats::Mode;
 use softwatt_workloads::BenchmarkSpec;
 
-use crate::budget::{system_budget, SystemBudget};
+use crate::budget::{budget_from_table, SystemBudget};
 use crate::experiments::{ExperimentSuite, RunBundle, RunKey};
 
 /// The figure/table names [`figure`] understands, in presentation order.
@@ -223,7 +223,7 @@ pub fn run_bundle(key: RunKey, bundle: &RunBundle) -> String {
         out.push('}');
     }
     out.push_str("}, \"budget\": ");
-    push_budget(&mut out, &system_budget(&bundle.model, run));
+    push_budget(&mut out, &budget_from_table(bundle.mode_table(), run));
     write!(
         out,
         ", \"disk\": {{\"requests\": {}, \"spinups\": {}, \"spindowns\": {}, \"energy_j\": ",

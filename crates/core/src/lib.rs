@@ -42,7 +42,7 @@ pub mod report;
 pub mod sim;
 pub mod store;
 
-pub use budget::{system_budget, SystemBudget};
+pub use budget::{budget_from_table, system_budget, SystemBudget};
 pub use config::{CpuModel, IdleHandling, SystemConfig};
 pub use experiments::{ExperimentSuite, Fidelity, RunKey, WorkloadKey};
 pub use sim::{RunResult, Simulator};

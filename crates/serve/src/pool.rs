@@ -9,6 +9,7 @@
 //! drain everything already accepted, then exit.
 
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 
@@ -167,7 +168,11 @@ fn worker_loop(inner: &Inner) {
         if let Some(job) = state.queue.pop_front() {
             softwatt_obs::gauge_set(inner.metrics.depth, state.queue.len() as f64);
             drop(state);
-            job();
+            // The reactor's jobs answer their own panics; this backstop
+            // keeps the worker (and a later `join`) alive for any other.
+            if panic::catch_unwind(AssertUnwindSafe(job)).is_err() {
+                softwatt_obs::count("serve.job_panics", 1);
+            }
             state = inner.state.lock().expect("pool lock");
             continue;
         }
@@ -219,6 +224,19 @@ mod tests {
         // ...and the next submit must bounce immediately.
         assert_eq!(pool.try_submit(Box::new(|| {})), Err(QueueFull));
         release_tx.send(()).unwrap();
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_job_keeps_its_worker() {
+        let pool = Pool::new(&COLD_LANE, 1, 16);
+        pool.try_submit(Box::new(|| panic!("job failed"))).unwrap();
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        pool.try_submit(Box::new(move || done_tx.send(()).unwrap()))
+            .unwrap();
+        done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the only worker survives to run the next job");
         pool.shutdown();
     }
 

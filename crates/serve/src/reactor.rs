@@ -23,6 +23,7 @@
 use std::collections::HashMap;
 use std::net::TcpListener;
 use std::os::unix::io::AsRawFd;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -423,7 +424,7 @@ impl Reactor {
         let ctx = Arc::clone(&self.ctx);
         let completions = Arc::clone(&self.completions);
         let submitted = pool.try_submit(Box::new(move || {
-            let resp = routes::run_response(&ctx, key, lane);
+            let resp = contain(|| routes::run_response(&ctx, key, lane));
             completions.push(Done::Keyed { key, resp });
         }));
         match submitted {
@@ -466,7 +467,7 @@ impl Reactor {
         };
         let completions = Arc::clone(&self.completions);
         let submitted = pool.try_submit(Box::new(move || {
-            let resp = work();
+            let resp = contain(work);
             completions.push(Done::Direct { token, resp });
         }));
         match submitted {
@@ -635,9 +636,29 @@ pub(crate) fn status_counter(status: u16) -> &'static str {
     }
 }
 
+/// Runs one compute job, turning a panic into a `500 internal` answer
+/// (counted as `serve.job_panics`). The job still completes: its waiters
+/// are answered, the drain's in-flight count still falls to zero, and the
+/// lane keeps its worker.
+fn contain(work: impl FnOnce() -> Response) -> Response {
+    panic::catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|_| {
+        softwatt_obs::count("serve.job_panics", 1);
+        Response::error(500, "internal", "the request's computation failed")
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_panicking_job_answers_500_internal() {
+        let resp = contain(|| panic!("job failed"));
+        assert_eq!(resp.status, 500);
+        assert!(resp.body.contains("\"internal\""), "{}", resp.body);
+        let ok = contain(|| Response::json(200, "{}".to_string()));
+        assert_eq!(ok.status, 200);
+    }
 
     #[test]
     fn status_counters_are_static() {

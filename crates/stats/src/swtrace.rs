@@ -114,6 +114,35 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Fills `out` with consecutive varints: the block decoder under the
+    /// per-sample counters. About a fifth of those counters need two
+    /// bytes, so both the one-byte and the two-byte case are inlined;
+    /// longer varints and every error take [`Cursor::varint_slow`].
+    #[inline]
+    fn varints(&mut self, out: &mut [u64]) -> io::Result<()> {
+        let data = self.data;
+        let mut pos = self.pos;
+        for slot in out {
+            match (data.get(pos), data.get(pos + 1)) {
+                (Some(&b0), _) if b0 < 0x80 => {
+                    *slot = u64::from(b0);
+                    pos += 1;
+                }
+                (Some(&b0), Some(&b1)) if b1 < 0x80 => {
+                    *slot = u64::from(b0 & 0x7f) | (u64::from(b1) << 7);
+                    pos += 2;
+                }
+                _ => {
+                    self.pos = pos;
+                    *slot = self.varint_slow()?;
+                    pos = self.pos;
+                }
+            }
+        }
+        self.pos = pos;
+        Ok(())
+    }
+
     #[cold]
     fn varint_slow(&mut self) -> io::Result<u64> {
         match crate::varint::decode(&self.data[self.pos..]) {
@@ -360,9 +389,7 @@ impl PerfTrace {
             agg.cycles = sec.varint()?;
             agg.energy_sum_j = sec.f64()?;
             agg.energy_sumsq_j2 = sec.f64()?;
-            for e in UnitEvent::ALL {
-                agg.events.add(e, sec.varint()?);
-            }
+            sec.varints(agg.events.counts_mut())?;
             work_services.push((service, agg));
         }
         if !sec.done() {
@@ -383,20 +410,15 @@ impl PerfTrace {
                     .ok_or_else(|| bad("swtrace sample end-cycle out of range"))?;
                 prev_end = end;
                 let mut mode_cycles = [0u64; Mode::COUNT];
-                for mc in &mut mode_cycles {
-                    *mc = sec.varint()?;
-                }
-                let mut events = Arc::new(ModeCounters::new());
-                let counters = Arc::get_mut(&mut events).expect("a fresh Arc is unique");
+                sec.varints(&mut mode_cycles)?;
+                let mut counters = ModeCounters::new();
                 for m in Mode::ALL {
-                    for n in counters.mode_mut(m).counts_mut() {
-                        *n = sec.varint()?;
-                    }
+                    sec.varints(counters.mode_mut(m).counts_mut())?;
                 }
                 segment.push(Sample {
                     end_cycle: end as u64,
                     mode_cycles,
-                    events,
+                    events: Arc::new(counters),
                 });
             }
             segments.push(segment);
@@ -503,7 +525,18 @@ mod tests {
     fn counters_round_trip_across_varint_widths() {
         let mut t = trace();
         let events = Arc::make_mut(&mut t.segments[0][0].events);
-        let wide = [0, 127, 128, 1 << 35, u64::MAX];
+        // Either side of the inlined one- and two-byte cases, then wider.
+        let wide = [
+            0,
+            127,
+            128,
+            16_383,
+            16_384,
+            (1 << 21) - 1,
+            1 << 21,
+            1 << 35,
+            u64::MAX,
+        ];
         for (e, &n) in UnitEvent::ALL.iter().zip(&wide) {
             events.mode_mut(Mode::KernelSync).add(*e, n);
         }

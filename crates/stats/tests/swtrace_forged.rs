@@ -112,3 +112,31 @@ fn truncated_counter_varint_is_unexpected_eof() {
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}: {err}");
     }
 }
+
+#[test]
+fn section_cut_inside_two_byte_counters_is_unexpected_eof() {
+    // One segment, one zero-cycle sample whose every counter takes two
+    // bytes (128..=16_383), the block decoder's inlined wide case.
+    let mut segments = vec![1, 1, 0, 0, 0, 0, 0];
+    let counters: Vec<u64> = (0..(Mode::COUNT * UnitEvent::COUNT) as u64)
+        .map(|i| 128 + 113 * i)
+        .collect();
+    for &n in &counters {
+        let before = segments.len();
+        put_varint(&mut segments, n);
+        assert_eq!(segments.len() - before, 2, "{n} is a two-byte varint");
+    }
+
+    let (trace, _) = PerfTrace::from_binary(&entry(&segments)).expect("uncut entry decodes");
+    let sample = &trace.segments[0][0];
+    let decoded: Vec<u64> = Mode::ALL
+        .iter()
+        .flat_map(|&m| sample.events.mode(m).counts().to_vec())
+        .collect();
+    assert_eq!(decoded, counters);
+
+    for cut in 0..segments.len() {
+        let err = PerfTrace::from_binary(&entry(&segments[..cut])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}: {err}");
+    }
+}
